@@ -132,13 +132,15 @@ let assign cfg ddg ~mode ~profile =
     else begin
       let last_changed = ref None in
       let continue = ref true in
-      (* The loop only ever lowers latencies, so the last solved II stays
-         a feasible upper bound for every candidate probe — carrying it
-         (and the committed candidate's II) keeps each probe's binary
-         search short instead of restarting from the worst-case bound. *)
-      let cur_ii = ref (solve_with solver latencies) in
-      while !continue && !cur_ii > target do
-        let old_ii = !cur_ii in
+      let latency i = latencies.(i) in
+      (* The current II and its critical cycle.  A load whose latency the
+         cycle does not use cannot lower the II (the cycle keeps its
+         ratio), so its delta_ii = 0 is known without a probe; a load on
+         the cycle probes from the cycle's lowered ratio, and the probe's
+         witness becomes the next one if that candidate is committed. *)
+      let cur = ref (Mii.critical solver ~latency) in
+      while !continue && fst !cur > target do
+        let old_ii, witness = !cur in
         (* Best (B, delta_ii) over every load x lower-level candidate. *)
         let best = ref None in
         List.iter
@@ -149,13 +151,16 @@ let assign cfg ddg ~mode ~profile =
             List.iter
               (fun l' ->
                 if l' < saved then begin
-                  latencies.(m) <- l';
-                  let new_ii =
-                    Mii.solve solver ~upper_feasible:old_ii
-                      ~latency:(fun i -> latencies.(i))
+                  let next =
+                    match witness with
+                    | Some c when not (Array.mem m c.Mii.ops) -> !cur
+                    | _ ->
+                        latencies.(m) <- l';
+                        let r = Mii.critical solver ?from:witness ~latency in
+                        latencies.(m) <- saved;
+                        r
                   in
-                  latencies.(m) <- saved;
-                  let d_ii = float_of_int (old_ii - new_ii) in
+                  let d_ii = float_of_int (old_ii - fst next) in
                   let d_stall =
                     expected_stall cfg ~mode p ~lat:l' -. old_stall
                   in
@@ -165,19 +170,19 @@ let assign cfg ddg ~mode ~profile =
                   let key = (b, d_ii, -m, -l') in
                   match !best with
                   | Some (bk, _, _, _) when bk >= key -> ()
-                  | _ -> best := Some (key, m, l', new_ii)
+                  | _ -> best := Some (key, m, l', next)
                 end)
               ladder)
           loads;
         match !best with
         | None -> continue := false
-        | Some (_, m, l', new_ii) ->
+        | Some (_, m, l', next) ->
             latencies.(m) <- l';
             last_changed := Some m;
-            cur_ii := new_ii
+            cur := next
       done;
       match !last_changed with
-      | Some m when !cur_ii < target ->
+      | Some m when fst !cur < target ->
           restore_slack ddg ~solver latencies ~recurrence ~op:m ~target
       | Some _ | None -> ()
     end

@@ -1,15 +1,12 @@
 exception Infeasible
 
-(* A captured recurrence: node ids remapped to a dense [0, n) range and
-   the induced edges stored flat, so feasibility checks allocate nothing
-   beyond one distance array. *)
-(* One simple cycle of the recurrence: the operations whose (variable)
-   latency its edges use, plus the fixed latency and distance sums. *)
-type cycle = { c_ops : int array; c_fixed : int; c_dist : int }
+type cycle = { ops : int array; fixed : int; dist : int }
 
+(* A captured recurrence: node ids remapped to a dense [0, n) range and
+   the induced edges stored flat, so a probe allocates nothing but the
+   positive cycle it may return. *)
 type solver = {
   n : int;
-  nodes : int array;  (** dense index -> original id *)
   srcs : int array;
   dsts : int array;
   lat_ops : int array;  (** original id of the op whose latency the edge
@@ -18,189 +15,158 @@ type solver = {
   dists : int array;
   dist : int array;
       (** relaxation scratch — latency assignment runs hundreds of
-          feasibility probes per solver, so the distance array is reused
-          rather than allocated per probe (a solver is only ever used
-          from one domain) *)
-  cycles : cycle array option;
-      (** the recurrence's simple cycles, when enumeration stayed within
-          budget: II queries then reduce to a max of cycle ratios
-          instead of a Bellman–Ford binary search *)
+          probes per solver, so the scratch arrays are reused rather
+          than allocated per probe (a solver is only ever used from one
+          domain) *)
+  pred : int array;  (** edge that last raised each node, or -1 *)
+  mark : int array;  (** predecessor-walk stamps *)
 }
 
-(* Simple-cycle enumeration (Tiernan-style: each cycle is discovered
-   from its minimal dense node).  Dependence recurrences are small and
-   sparse, so the cycle count is tiny in practice; the work budget
-   guards the exponential worst case — on overrun the solver just keeps
-   the Bellman–Ford path.  A latency-assignment run evaluates hundreds
-   of latency vectors against one recurrence, and II = max over cycles
-   of ceil(lat(c)/dist(c)) turns each of those queries into a few dozen
-   integer ops. *)
-let max_cycles = 512
-let work_budget = 1 lsl 16
-
-exception Budget
-
-let enumerate_cycles ~n ~srcs ~dsts ~lat_ops ~fixed ~dists =
-  let m = Array.length srcs in
-  if n = 0 || m = 0 then Some [||]
-  else begin
-    let out = Array.make n [] in
-    for i = m - 1 downto 0 do
-      out.(srcs.(i)) <- i :: out.(srcs.(i))
-    done;
-    let cycles = ref [] and count = ref 0 and work = ref 0 in
-    let on_path = Array.make n false in
-    let path = ref [] in
-    (* edge indices of the current path, innermost first *)
-    try
-      for s = 0 to n - 1 do
-        let rec dfs v =
-          incr work;
-          if !work > work_budget then raise Budget;
-          List.iter
-            (fun i ->
-              let w = dsts.(i) in
-              if w = s then begin
-                let es = i :: !path in
-                let ops =
-                  List.filter_map
-                    (fun e -> if lat_ops.(e) >= 0 then Some lat_ops.(e) else None)
-                    es
-                in
-                let fx = List.fold_left (fun acc e -> acc + fixed.(e)) 0 es in
-                let d = List.fold_left (fun acc e -> acc + dists.(e)) 0 es in
-                incr count;
-                if !count > max_cycles then raise Budget;
-                cycles :=
-                  { c_ops = Array.of_list ops; c_fixed = fx; c_dist = d }
-                  :: !cycles
-              end
-              else if w > s && not on_path.(w) then begin
-                on_path.(w) <- true;
-                path := i :: !path;
-                dfs w;
-                path := List.tl !path;
-                on_path.(w) <- false
-              end)
-            out.(v)
-        in
-        on_path.(s) <- true;
-        dfs s;
-        on_path.(s) <- false
-      done;
-      Some (Array.of_list !cycles)
-    with Budget -> None
-  end
-
-let cycle_lat c ~latency =
-  let l = ref c.c_fixed in
-  Array.iter (fun op -> l := !l + latency op) c.c_ops;
-  !l
-
 let solver ddg ~nodes =
-  let node_arr = Array.of_list nodes in
-  let n = Array.length node_arr in
+  let n = List.length nodes in
   let index = Hashtbl.create n in
-  Array.iteri (fun i v -> Hashtbl.replace index v i) node_arr;
+  List.iteri (fun i v -> Hashtbl.replace index v i) nodes;
   let edges =
-    List.filter
-      (fun (e : Edge.t) ->
-        Hashtbl.mem index e.src && Hashtbl.mem index e.dst)
-      (Ddg.edges ddg)
+    Array.of_list
+      (List.filter
+         (fun (e : Edge.t) -> Hashtbl.mem index e.src && Hashtbl.mem index e.dst)
+         (Ddg.edges ddg))
   in
-  let m = List.length edges in
-  let srcs = Array.make m 0
-  and dsts = Array.make m 0
-  and lat_ops = Array.make m (-1)
-  and fixed = Array.make m 0
-  and dists = Array.make m 0 in
-  List.iteri
+  let src = Array.map (fun (e : Edge.t) -> Hashtbl.find index e.src) edges
+  and dst = Array.map (fun (e : Edge.t) -> Hashtbl.find index e.dst) edges in
+  (* Relax edges by a topological rank of their source in the distance-0
+     subgraph: one pass then carries a distance down every
+     intra-iteration chain, and a probe takes about as many passes as a
+     path has loop-carried edges rather than as it has nodes. *)
+  let indeg = Array.make n 0 and out = Array.make n [] in
+  Array.iteri
     (fun i (e : Edge.t) ->
-      srcs.(i) <- Hashtbl.find index e.src;
-      dsts.(i) <- Hashtbl.find index e.dst;
-      dists.(i) <- e.distance;
-      match e.kind with
-      | Edge.Reg_flow -> lat_ops.(i) <- e.src
-      | Edge.Reg_anti -> fixed.(i) <- 0
-      | Edge.Reg_out | Edge.Mem_flow | Edge.Mem_anti | Edge.Mem_out
-      | Edge.Mem_unresolved ->
-          fixed.(i) <- 1)
+      if e.distance = 0 then begin
+        indeg.(dst.(i)) <- indeg.(dst.(i)) + 1;
+        out.(src.(i)) <- dst.(i) :: out.(src.(i))
+      end)
     edges;
-  let cycles = enumerate_cycles ~n ~srcs ~dsts ~lat_ops ~fixed ~dists in
-  { n; nodes = node_arr; srcs; dsts; lat_ops; fixed; dists;
-    dist = Array.make (max 1 n) 0; cycles }
+  let rank = Array.make n n and next = ref 0 in
+  let rec visit v =
+    rank.(v) <- !next;
+    incr next;
+    List.iter
+      (fun w ->
+        indeg.(w) <- indeg.(w) - 1;
+        if indeg.(w) = 0 then visit w)
+      out.(v)
+  in
+  for v = 0 to n - 1 do
+    if indeg.(v) = 0 && rank.(v) = n then visit v
+  done;
+  let order = Array.init (Array.length edges) Fun.id in
+  Array.stable_sort (fun i j -> compare rank.(src.(i)) rank.(src.(j))) order;
+  let field f = Array.map (fun i -> f i edges.(i)) order in
+  let scratch () = Array.make (max 1 n) 0 in
+  {
+    n;
+    srcs = field (fun i _ -> src.(i));
+    dsts = field (fun i _ -> dst.(i));
+    lat_ops =
+      field (fun _ (e : Edge.t) -> if e.kind = Edge.Reg_flow then e.src else -1);
+    fixed = field (fun _ e -> Ddg.effective_latency ~latency:(fun _ -> 0) e);
+    dists = field (fun _ (e : Edge.t) -> e.distance);
+    dist = scratch ();
+    pred = scratch ();
+    mark = scratch ();
+  }
 
-(* A positive non-simple cycle always contains a positive simple cycle
-   (cycle weights are additive over the decomposition), so checking the
-   enumerated simple cycles is exactly the Bellman–Ford positive-cycle
-   test. *)
-let solve_feasible s ~latency ~ii =
-  match s.cycles with
-  | Some cs ->
-      Array.for_all (fun c -> cycle_lat c ~latency <= ii * c.c_dist) cs
-  | None ->
-      let dist = s.dist in
-      Array.fill dist 0 s.n 0;
-      let m = Array.length s.srcs in
-      let changed = ref true and rounds = ref 0 in
-      while !changed && !rounds <= s.n do
-        changed := false;
-        incr rounds;
-        for i = 0 to m - 1 do
-          let lat =
-            if s.lat_ops.(i) >= 0 then latency s.lat_ops.(i) else s.fixed.(i)
-          in
-          let w = lat - (ii * s.dists.(i)) in
-          let cand = dist.(s.srcs.(i)) + w in
-          if cand > dist.(s.dsts.(i)) then begin
-            dist.(s.dsts.(i)) <- cand;
-            changed := true
-          end
-        done
+let cycle_latency (c : cycle) ~latency =
+  Array.fold_left (fun acc op -> acc + latency op) c.fixed c.ops
+
+(* The cycle of the predecessor graph through dense node [v]. *)
+let cycle_through s v =
+  let rec collect u ops fixed dist =
+    let e = s.pred.(u) in
+    let ops = if s.lat_ops.(e) >= 0 then s.lat_ops.(e) :: ops else ops in
+    let fixed = fixed + s.fixed.(e) and dist = dist + s.dists.(e) in
+    let u = s.srcs.(e) in
+    if u = v then { ops = Array.of_list ops; fixed; dist }
+    else collect u ops fixed dist
+  in
+  collect v [] 0 0
+
+(* Any cycle of the predecessor graph (each node has at most one
+   predecessor edge, so a walk that meets its own stamp closed one). *)
+let pred_cycle s =
+  Array.fill s.mark 0 s.n (-1);
+  let rec from root =
+    if root >= s.n then None
+    else begin
+      let v = ref root in
+      while !v >= 0 && s.mark.(!v) < 0 do
+        s.mark.(!v) <- root;
+        v := if s.pred.(!v) < 0 then -1 else s.srcs.(s.pred.(!v))
       done;
-      not !changed
+      if !v >= 0 && s.mark.(!v) = root then Some (cycle_through s !v)
+      else from (root + 1)
+    end
+  in
+  from 0
 
-(* Feasibility is monotone in the II (edge weights only decrease), so
-   the binary search returns the unique minimal feasible II whatever
-   upper bound it starts from.  [upper_feasible] lets a caller that
-   already holds a feasible II (latency assignment lowers latencies, so
-   the previous II stays feasible) skip both the worst-case bound and
-   its infeasibility probe. *)
-let solve ?upper_feasible s ~latency =
-  match s.cycles with
-  | Some cs ->
-      (* II = max over cycles of ceil(lat/dist); a zero-distance cycle
-         with positive latency is the (only) infeasible-at-any-II case —
-         the same condition the search's worst-case-bound probe detects,
-         since every distance>=1 cycle's latency is below that bound. *)
-      let ii = ref 1 in
-      Array.iter
-        (fun c ->
-          let lat = cycle_lat c ~latency in
-          if c.c_dist = 0 then begin
-            if lat > 0 then raise Infeasible
-          end
-          else if lat > !ii * c.c_dist then
-            ii := (lat + c.c_dist - 1) / c.c_dist)
-        cs;
-      !ii
-  | None -> (
-      let rec search lo hi =
-        (* Invariant: [hi] is feasible, every ii < lo is infeasible. *)
-        if lo >= hi then hi
-        else
-          let mid = (lo + hi) / 2 in
-          if solve_feasible s ~latency ~ii:mid then search lo mid
-          else search (mid + 1) hi
-      in
-      match upper_feasible with
-      | Some upper -> search 1 upper
-      | None ->
-          let upper =
-            Array.fold_left (fun acc v -> acc + max 1 (latency v)) 1 s.nodes
-          in
-          if not (solve_feasible s ~latency ~ii:upper) then raise Infeasible;
-          search 1 upper)
+(* Longest-path Bellman–Ford from a virtual source (every distance
+   starts at 0) under weights lat(e) - ii * dist(e): [None] when no
+   cycle is positive, else a positive cycle read off the predecessor
+   graph after a pass that raised something.  Every cycle of that graph
+   is positive: the relaxation that closed it raised its target
+   strictly, and every other edge on it was at most tight.  And after
+   n-1 passes, an acyclic predecessor graph would bound every distance
+   by a simple path's weight, which the distances already reach, so a
+   raise in pass n leaves a cycle behind: at most n passes run. *)
+let positive_cycle s ~latency ~ii =
+  let d = s.dist and pred = s.pred in
+  Array.fill d 0 s.n 0;
+  Array.fill pred 0 s.n (-1);
+  let rec pass () =
+    let changed = ref false in
+    for i = 0 to Array.length s.srcs - 1 do
+      let lat = if s.lat_ops.(i) >= 0 then latency s.lat_ops.(i) else s.fixed.(i) in
+      let cand = d.(s.srcs.(i)) + lat - (ii * s.dists.(i)) in
+      let v = s.dsts.(i) in
+      if cand > d.(v) then begin
+        d.(v) <- cand;
+        pred.(v) <- i;
+        changed := true
+      end
+    done;
+    if not !changed then None
+    else match pred_cycle s with Some _ as c -> c | None -> pass ()
+  in
+  pass ()
+
+let solve_feasible s ~latency ~ii = Option.is_none (positive_cycle s ~latency ~ii)
+
+let ceil_ratio (c : cycle) ~latency =
+  let lat = cycle_latency c ~latency in
+  if c.dist = 0 then if lat > 0 then raise Infeasible else 0
+  else (lat + c.dist - 1) / c.dist
+
+(* Newton iteration on the integer II: every II tried is a lower bound
+   (the caller's, or the ratio of a cycle found positive below it), a
+   positive cycle at II raises II strictly to its own ratio, and the
+   first II without one is therefore the minimum.  The last cycle found
+   is its witness. *)
+let rec iterate s ~latency ~ii witness =
+  match positive_cycle s ~latency ~ii with
+  | None -> (ii, witness)
+  | Some c ->
+      let next = ceil_ratio c ~latency in
+      assert (next > ii);
+      iterate s ~latency ~ii:next (Some c)
+
+let critical ?from s ~latency =
+  match from with
+  | None -> iterate s ~latency ~ii:1 None
+  | Some c ->
+      let r = ceil_ratio c ~latency in
+      iterate s ~latency ~ii:(max 1 r) (if r >= 1 then Some c else None)
+
+let solve s ~latency = fst (critical s ~latency)
 
 let feasible ddg ~latency ~nodes ~ii =
   solve_feasible (solver ddg ~nodes) ~latency ~ii

@@ -59,17 +59,16 @@ let create ?(shards = 16) ?cap () =
     mask = n - 1;
     shard_cap;
     shards =
-      Array.init n (fun i ->
-          let name fmt = Printf.sprintf fmt i in
+      Array.init n (fun index ->
           {
             cache = Hashtbl.create 8;
-            c_cache = Sync.cell ~name:(name "memo.shard%d.cache") ();
+            c_cache = Sync.cell ~name:"memo.shard%d.cache" ~index ();
             order = Queue.create ();
-            lock = Sync.mutex ~name:(name "memo.shard%d.lock") ();
-            ready = Sync.condition ~name:(name "memo.shard%d.ready") ();
-            hits = Sync.atomic ~name:(name "memo.shard%d.hits") 0;
-            misses = Sync.atomic ~name:(name "memo.shard%d.misses") 0;
-            evictions = Sync.atomic ~name:(name "memo.shard%d.evictions") 0;
+            lock = Sync.mutex ~name:"memo.shard%d.lock" ~index ();
+            ready = Sync.condition ~name:"memo.shard%d.ready" ~index ();
+            hits = Sync.atomic ~name:"memo.shard%d.hits" ~index 0;
+            misses = Sync.atomic ~name:"memo.shard%d.misses" ~index 0;
+            evictions = Sync.atomic ~name:"memo.shard%d.evictions" ~index 0;
           });
   }
 

@@ -32,24 +32,39 @@ end
 
 (* ------------------------------------------------------------ objects *)
 
-type mutex = { m : Mutex.t; m_id : int }
-type condition = { c : Condition.t; c_id : int }
-type cell = { cell_id : int }
-type atomic = { a : int Atomic.t; a_id : int }
+(* An object's identity.  Its name is formatted and registered only
+   when the object first shows up in a recorded trace or under the
+   virtual scheduler: production code creates hundreds of named objects
+   per context and never reads a name, so a global registry filled at
+   creation would cost time and keep every name alive forever. *)
+type obj = { id : int; name : string; index : int; mutable registered : bool }
+
+type mutex = { m : Mutex.t; mo : obj }
+type condition = { c : Condition.t; co : obj }
+type cell = { cello : obj }
+type atomic = { a : int Atomic.t; ao : obj }
 
 let next_obj = Atomic.make 0
 let names_mutex = Mutex.create ()
 let names : (int, string) Hashtbl.t = Hashtbl.create 64
 
-let new_obj name =
+let new_obj name index =
   let id = Atomic.fetch_and_add next_obj 1 in
-  (match name with
-  | None -> ()
-  | Some n ->
-      Mutex.lock names_mutex;
-      Hashtbl.replace names id n;
-      Mutex.unlock names_mutex);
-  id
+  match name with
+  | None -> { id; name = ""; index; registered = true }
+  | Some name -> { id; name; index; registered = false }
+
+let register o =
+  if not o.registered then begin
+    let name =
+      if o.index < 0 then o.name
+      else Printf.sprintf (Scanf.format_from_string o.name "%d") o.index
+    in
+    Mutex.lock names_mutex;
+    Hashtbl.replace names o.id name;
+    o.registered <- true;
+    Mutex.unlock names_mutex
+  end
 
 let with_id_base base f =
   let saved = Atomic.exchange next_obj base in
@@ -61,14 +76,17 @@ let name_of_id id =
   Mutex.unlock names_mutex;
   n
 
-let mutex ?name () = { m = Mutex.create (); m_id = new_obj name }
-let condition ?name () = { c = Condition.create (); c_id = new_obj name }
-let cell ?name () = { cell_id = new_obj name }
-let atomic ?name v = { a = Atomic.make v; a_id = new_obj name }
-let id_of_mutex m = m.m_id
-let id_of_condition c = c.c_id
-let id_of_cell c = c.cell_id
-let id_of_atomic a = a.a_id
+let mutex ?name ?(index = -1) () = { m = Mutex.create (); mo = new_obj name index }
+
+let condition ?name ?(index = -1) () =
+  { c = Condition.create (); co = new_obj name index }
+
+let cell ?name ?(index = -1) () = { cello = new_obj name index }
+let atomic ?name ?(index = -1) v = { a = Atomic.make v; ao = new_obj name index }
+let id_of_mutex m = m.mo.id
+let id_of_condition c = c.co.id
+let id_of_cell c = c.cello.id
+let id_of_atomic a = a.ao.id
 
 (* ---------------------------------------------------------- recording *)
 
@@ -148,79 +166,85 @@ let vops () = !(Domain.DLS.get virtual_key)
 
 (* --------------------------------------------------------- operations *)
 
+(* An object's id, once it is about to appear in a trace or under the
+   virtual scheduler — never on the passthrough path. *)
+let seen o =
+  register o;
+  o.id
+
 let lock mu =
   match vops () with
-  | Some v -> v.v_lock mu.m_id
+  | Some v -> v.v_lock (seen mu.mo)
   | None ->
       if Atomic.get active = 0 then Mutex.lock mu.m
       else begin
         Mutex.lock mu.m;
-        record (Trace.Acquire mu.m_id)
+        record (Trace.Acquire (seen mu.mo))
       end
 
 let unlock mu =
   match vops () with
-  | Some v -> v.v_unlock mu.m_id
+  | Some v -> v.v_unlock (seen mu.mo)
   | None ->
       if Atomic.get active = 0 then Mutex.unlock mu.m
       else begin
         (* stamped while still holding the mutex *)
-        record (Trace.Release mu.m_id);
+        record (Trace.Release (seen mu.mo));
         Mutex.unlock mu.m
       end
 
 let wait cond mu =
   match vops () with
-  | Some v -> v.v_wait ~cond:cond.c_id ~mutex:mu.m_id
+  | Some v -> v.v_wait ~cond:(seen cond.co) ~mutex:(seen mu.mo)
   | None ->
       if Atomic.get active = 0 then Condition.wait cond.c mu.m
       else begin
-        record (Trace.Wait_begin { cond = cond.c_id; mutex = mu.m_id });
+        record (Trace.Wait_begin { cond = seen cond.co; mutex = seen mu.mo });
         Condition.wait cond.c mu.m;
-        record (Trace.Wait_end { cond = cond.c_id; mutex = mu.m_id })
+        record (Trace.Wait_end { cond = seen cond.co; mutex = seen mu.mo })
       end
 
 let signal cond =
   match vops () with
-  | Some v -> v.v_signal ~broadcast:false cond.c_id
+  | Some v -> v.v_signal ~broadcast:false (seen cond.co)
   | None ->
       if Atomic.get active = 0 then Condition.signal cond.c
       else begin
-        record (Trace.Signal { cond = cond.c_id; broadcast = false });
+        record (Trace.Signal { cond = seen cond.co; broadcast = false });
         Condition.signal cond.c
       end
 
 let broadcast cond =
   match vops () with
-  | Some v -> v.v_signal ~broadcast:true cond.c_id
+  | Some v -> v.v_signal ~broadcast:true (seen cond.co)
   | None ->
       if Atomic.get active = 0 then Condition.broadcast cond.c
       else begin
-        record (Trace.Signal { cond = cond.c_id; broadcast = true });
+        record (Trace.Signal { cond = seen cond.co; broadcast = true });
         Condition.broadcast cond.c
       end
 
 let read cl =
   match vops () with
-  | Some v -> v.v_read cl.cell_id
-  | None -> if Atomic.get active <> 0 then record (Trace.Read cl.cell_id)
+  | Some v -> v.v_read (seen cl.cello)
+  | None -> if Atomic.get active <> 0 then record (Trace.Read (seen cl.cello))
 
 let write cl =
   match vops () with
-  | Some v -> v.v_write cl.cell_id
-  | None -> if Atomic.get active <> 0 then record (Trace.Write cl.cell_id)
+  | Some v -> v.v_write (seen cl.cello)
+  | None -> if Atomic.get active <> 0 then record (Trace.Write (seen cl.cello))
 
 let get at =
   match vops () with
   | Some v ->
-      v.v_aload at.a_id;
+      v.v_aload (seen at.ao);
       Atomic.get at.a
   | None ->
       if Atomic.get active = 0 then Atomic.get at.a
       else begin
         Mutex.lock atomic_order;
         let r = Atomic.get at.a in
-        record (Trace.A_load at.a_id);
+        record (Trace.A_load (seen at.ao));
         Mutex.unlock atomic_order;
         r
       end
@@ -228,28 +252,28 @@ let get at =
 let set at x =
   match vops () with
   | Some v ->
-      v.v_astore at.a_id;
+      v.v_astore (seen at.ao);
       Atomic.set at.a x
   | None ->
       if Atomic.get active = 0 then Atomic.set at.a x
       else begin
         Mutex.lock atomic_order;
         Atomic.set at.a x;
-        record (Trace.A_store at.a_id);
+        record (Trace.A_store (seen at.ao));
         Mutex.unlock atomic_order
       end
 
 let add at n =
   match vops () with
   | Some v ->
-      v.v_astore at.a_id;
+      v.v_astore (seen at.ao);
       ignore (Atomic.fetch_and_add at.a n)
   | None ->
       if Atomic.get active = 0 then ignore (Atomic.fetch_and_add at.a n)
       else begin
         Mutex.lock atomic_order;
         ignore (Atomic.fetch_and_add at.a n);
-        record (Trace.A_store at.a_id);
+        record (Trace.A_store (seen at.ao));
         Mutex.unlock atomic_order
       end
 

@@ -41,10 +41,16 @@ type atomic
     happens-before edges (every access is treated as acquire/release,
     matching the OCaml memory model's SC atomics). *)
 
-val mutex : ?name:string -> unit -> mutex
-val condition : ?name:string -> unit -> condition
-val cell : ?name:string -> unit -> cell
-val atomic : ?name:string -> int -> atomic
+val mutex : ?name:string -> ?index:int -> unit -> mutex
+val condition : ?name:string -> ?index:int -> unit -> condition
+val cell : ?name:string -> ?index:int -> unit -> cell
+val atomic : ?name:string -> ?index:int -> int -> atomic
+(** [name] is the object's human name in traces and diagnostics; with
+    [index], [name] is a format with one [%d] that [index] fills in
+    ([~name:"memo.shard%d.lock" ~index:3] is ["memo.shard3.lock"]).
+    Names are formatted and registered only when the object first takes
+    part in a recorded trace or a virtual-scheduler run, so creating a
+    named object costs no more than an anonymous one. *)
 
 val lock : mutex -> unit
 val unlock : mutex -> unit
@@ -155,8 +161,9 @@ val with_id_base : int -> (unit -> 'a) -> 'a
     sessions (explorer or {!record_scope}) concurrently. *)
 
 val name_of_id : int -> string option
-(** The [?name] an object id was created with, if any — shared by
-    traces and the virtual scheduler's failure messages. *)
+(** The name an object id was created with, if any, once the object has
+    taken part in a recorded trace or a virtual-scheduler run — shared
+    by traces and the virtual scheduler's failure messages. *)
 
 val id_of_mutex : mutex -> int
 val id_of_condition : condition -> int

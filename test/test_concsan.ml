@@ -166,6 +166,23 @@ let test_mutation_driver_catches_everything () =
   check cb "run_mutations reports full catch" true
     (Concsan.run_mutations ~seed null_ppf)
 
+(* Names are formatted and registered on an object's first recorded
+   event, so a memo's per-shard objects still resolve to their indexed
+   names in a trace, and an object no trace has seen has no name yet. *)
+let test_names_resolve_on_first_event () =
+  let unseen = Sync.mutex ~name:"t.unseen" () in
+  let (), tr =
+    Sync.record_scope (fun () ->
+        let memo = Vliw_parallel.Memo.create ~shards:1 () in
+        ignore (Vliw_parallel.Memo.get memo "k" (fun () -> 1) : int))
+  in
+  let names = List.map snd tr.Sync.Trace.names in
+  List.iter
+    (fun n -> check cb n true (List.mem n names))
+    [ "memo.shard0.lock"; "memo.shard0.cache"; "memo.shard0.ready"; "memo.shard0.misses" ];
+  check (Alcotest.option cs) "never-recorded object" None
+    (Sync.name_of_id (Sync.id_of_mutex unseen))
+
 let suite =
   [
     ("hbrace: clean locked code yields no diagnostics", `Quick,
@@ -185,4 +202,6 @@ let suite =
     ("driver: clean run has zero errors", `Slow, test_driver_clean_run);
     ("driver: mutation suite fully caught", `Slow,
      test_mutation_driver_catches_everything);
+    ("sync: names resolve on first recorded event", `Quick,
+     test_names_resolve_on_first_event);
   ]

@@ -2,6 +2,7 @@ let () =
   Alcotest.run "vliw-repro"
     [
       ("ir", Test_ir.suite);
+      ("solver", Test_solver.suite);
       ("arch", Test_arch.suite);
       ("sched", Test_sched.suite);
       ("core", Test_core.suite);

@@ -118,6 +118,22 @@ let test_cache_key_includes_fingerprint () =
   check cb "differing seed changes the key" false
     (Context.cache_key ctx b spec = Context.cache_key other_seed b spec)
 
+(* A context's memos create hundreds of named sync objects; their names
+   are only formatted and kept once a trace records them, so contexts
+   that are dropped leave nothing behind. *)
+let test_context_create_leaves_heap_flat () =
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  for _ = 1 to 50 do ignore (Context.create ()) done;
+  let before = live () in
+  for _ = 1 to 1000 do ignore (Context.create ()) done;
+  let after = live () in
+  if after > before + 50_000 then
+    Alcotest.failf "1000 contexts grew the live heap from %d to %d words" before after
+
+
 let test_memo_single_flight () =
   (* Hammer one key from 8 domains: single-flight means exactly one
      compilation, so every caller gets the physically same list. *)
@@ -452,4 +468,6 @@ let suite =
      test_schedules_deterministic_across_jobs);
     ("determinism: fig4 byte-identical at jobs=1 and jobs=4", `Slow,
      test_fig4_output_byte_identical_across_jobs);
+    ("context: create leaves the heap flat", `Quick,
+     test_context_create_leaves_heap_flat);
   ]

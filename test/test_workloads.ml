@@ -159,6 +159,79 @@ let test_kernel_empty_rejected () =
     (Invalid_argument "Kernel.build: no memory references") (fun () ->
       ignore (WL.Kernel.build (WL.Kernel.make ~name:"k" ~trip_count:1 [])))
 
+(* MD5 of each suite loop's [Ddg.pp] text.  Every reported figure starts
+   from these graphs, so [Kernel.build] must keep producing them op for
+   op and edge for edge, in the same order. *)
+let suite_ddg_digests =
+  [
+    ("epicdec/unquantize", "80e513eb54bd43ecb72227d46fd8ab02");
+    ("epicdec/build_tree", "6683c876e25c455415a96ed9698d1243");
+    ("epicdec/filter", "6def0704469289dfaf7733bd904c364f");
+    ("epicdec/collapse", "cdcf2382bfb3595e5619942dc690c61a");
+    ("epicenc/quantize", "a220b8e5c0b6531bce447f43305847c6");
+    ("epicenc/dct", "0c865f99b62848dc43026d7fb60dfcbe");
+    ("epicenc/reduce", "16ef045a7820f88aa50b576e46e322a5");
+    ("epicenc/upsample", "948c789b82ab24da65bf79cac36cc72c");
+    ("g721dec/predict", "2dd8f7444700d28cca20b24c9808283c");
+    ("g721dec/update", "4fff462c3ea6bf82781fc105509f8fd9");
+    ("g721dec/tables", "51f807836be439420807a7e683d9d3a5");
+    ("g721dec/reconstruct", "d35ee664b723bd54bd66c0f21edf7cd0");
+    ("g721enc/predict", "449719c8b99590fb5fc37ed070e68920");
+    ("g721enc/update", "9c66ba8acce651c0f7e73bfa86ba6602");
+    ("g721enc/tables", "c8eeb64c38f6037d7057bea2d541fa8d");
+    ("g721enc/reconstruct", "11501c4ed55e937e552050a17259e732");
+    ("gsmdec/lpc", "2f9a5da3db48476e308506bb8e022f2e");
+    ("gsmdec/dyn16", "4fd11c9b2bd2f3d601836c4b1952ff56");
+    ("gsmdec/filt", "e95c9432b886494d5ba512ceb4ba1961");
+    ("gsmdec/shortterm", "8edb658c802ec82a59e78c442d5aaa27");
+    ("gsmenc/lpc", "e7e42578d5afdeff97e4646a4770f0dd");
+    ("gsmenc/dyn16", "b4ed798bbd022850cec2f30db480af28");
+    ("gsmenc/filt", "f120aefbbdd42885f898389b1177f811");
+    ("gsmenc/shortterm", "87512b213fd082ec5c90faa828875a0c");
+    ("jpegdec/color", "4a9c8cbb9072213bd8d4e163eb0a3fd9");
+    ("jpegdec/huffman", "f93492e587932fdca637e2d9d5822836");
+    ("jpegdec/idct", "a2953d85dad26bc42feb029004ec6dd4");
+    ("jpegdec/upsample", "71ebec6d9f045c2e70ea1c0a823bce0b");
+    ("jpegenc/fdct", "c07019c445c81f281bbc48d5ad3c7bf7");
+    ("jpegenc/sample", "eb6f250679ef1b07dc70422c3ac78065");
+    ("jpegenc/huff", "4a401acc3b9451a3f486a2b5aaf16072");
+    ("mpeg2dec/motion", "ce14d93813223afbca4c70ac8fe3b9a6");
+    ("mpeg2dec/idct", "b6c60ff07662b981fce70700566080d2");
+    ("mpeg2dec/addblock", "7de9486fc6b2e757877a83087b18f09d");
+    ("mpeg2dec/recon", "394babaece8db5cbb36916d6d34ee9ff");
+    ("pegwitdec/gf_mul", "51c0c71a0ead6f289134c7ac70cb5161");
+    ("pegwitdec/gf_reduce", "fd08d19da3ce76e9f021e28fff0581b1");
+    ("pegwitdec/hash", "33d980bfce1c25404101a6c3102a1eb8");
+    ("pegwitenc/gf_add", "a5b9194e5105c674a73eb7d49d6847de");
+    ("pegwitenc/shift", "4b50e085ad7799b732658768b5f64399");
+    ("pegwitenc/sponge", "7c73373dd70c14911987c2f8f0f5f63b");
+    ("pgpdec/mp_mul", "e83527e265657746ddc8bc24b89273fb");
+    ("pgpdec/mp_add", "a6963d2d553b1e98fd157bb86f7c5686");
+    ("pgpdec/sieve", "252916d3035e068f6266cb732c75b613");
+    ("pgpenc/mp_mul", "328adca80a7d8892d3ca77df83e30b3e");
+    ("pgpenc/mp_add", "55095f242b5aa2200445e00d6408af7a");
+    ("pgpenc/sieve", "4241de105714638126c3965455fe0bf0");
+    ("pgpenc/armor", "a44410bdbe8b5300f254933d47f9fde0");
+    ("rasta/filterbank", "96798423ea414f1e4b559065a85537ac");
+    ("rasta/bandpass", "551c532c73cf6bcc5a45141264317fe4");
+    ("rasta/cepstrum", "7c5afe793333ccd5ca56101878657092");
+    ("rasta/spectrum", "e73360545547b079cac78e29d7d4fc4a");
+  ]
+
+let test_kernel_ddgs_pinned () =
+  let built =
+    List.concat_map
+      (fun (b : WL.Benchspec.t) ->
+        List.map
+          (fun (l : Loop.t) ->
+            ( b.WL.Benchspec.name ^ "/" ^ l.Loop.name,
+              Digest.to_hex (Digest.string (Format.asprintf "%a" Ddg.pp l.Loop.ddg)) ))
+          (WL.Benchspec.loops b))
+      WL.Mediabench.all
+  in
+  check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+    "suite DDG digests" suite_ddg_digests built
+
 (* ---------------------------------------------------------- profiling *)
 
 let test_profiling_small_footprint_hits () =
@@ -272,4 +345,5 @@ let suite =
     ("mediabench: roster", `Quick, test_mediabench_roster);
     ("mediabench: loops build", `Quick, test_mediabench_builds);
     ("mediabench: characteristics", `Quick, test_mediabench_characteristics);
+    ("kernel: suite DDGs pinned", `Quick, test_kernel_ddgs_pinned);
   ]
